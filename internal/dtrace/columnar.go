@@ -269,9 +269,18 @@ func DecodeHeader(data []byte) (Header, int, error) {
 		if w := typeWidth(c.Type); w == 0 {
 			return h, 0, fmt.Errorf("dtrace: column %q has unknown type %q", c.Name, c.Type)
 		}
+		for _, cd := range colDefs {
+			if cd.name == c.Name && cd.typ != c.Type {
+				return h, 0, fmt.Errorf("dtrace: column %q has type %q, want %q", c.Name, c.Type, cd.typ)
+			}
+		}
 	}
 	return h, len(Magic) + 1 + nl + 1, nil
 }
+
+// isCandColumn reports whether a column is sized by the chunk's cand
+// count rather than its record count.
+func isCandColumn(name string) bool { return name == "cand_id" || name == "cand_key" }
 
 func typeWidth(typ string) int {
 	switch typ {
@@ -287,11 +296,22 @@ func typeWidth(typ string) int {
 	return 0
 }
 
-// Decode parses a complete dtrace/v1 stream.
+// Decode parses a complete dtrace/v1 stream. Each chunk's declared
+// counts are checked against the bytes that follow before anything is
+// sized from them, so what Decode allocates is bounded by a constant
+// multiple of len(data).
 func Decode(data []byte) (*Trace, error) {
 	h, off, err := DecodeHeader(data)
 	if err != nil {
 		return nil, err
+	}
+	var rowWidth, candWidth int
+	for _, c := range h.Columns {
+		if isCandColumn(c.Name) {
+			candWidth += typeWidth(c.Type)
+		} else {
+			rowWidth += typeWidth(c.Type)
+		}
 	}
 	tr := &Trace{Header: h}
 	body := data[off:]
@@ -308,17 +328,24 @@ func Decode(data []byte) (*Trace, error) {
 			return nil, fmt.Errorf("dtrace: negative chunk counts %+v", ch)
 		}
 		body = body[nl+1:]
+		if ch.Records > 0 && (rowWidth == 0 || ch.Records > len(body)/rowWidth) {
+			return nil, fmt.Errorf("dtrace: truncated chunk (%d records of %d bytes, have %d bytes)", ch.Records, rowWidth, len(body))
+		}
+		if candWidth > 0 && ch.Cands > (len(body)-ch.Records*rowWidth)/candWidth {
+			return nil, fmt.Errorf("dtrace: truncated chunk (%d candidates of %d bytes, have %d bytes)", ch.Cands, candWidth, len(body)-ch.Records*rowWidth)
+		}
 		base := len(tr.Recs)
 		for i := 0; i < ch.Records; i++ {
 			rec := Rec{Other: -1}
 			tr.Recs = append(tr.Recs, rec)
 		}
+		var candLen []byte
 		var candID []int32
 		var candKey []int64
 		for _, c := range h.Columns {
 			w := typeWidth(c.Type)
 			n := ch.Records
-			if c.Name == "cand_id" || c.Name == "cand_key" {
+			if isCandColumn(c.Name) {
 				n = ch.Cands
 			}
 			need := n * w
@@ -357,10 +384,7 @@ func Decode(data []byte) (*Trace, error) {
 					tr.Recs[base+i].Digest = binary.LittleEndian.Uint64(col[i*8:])
 				}
 			case "cand_len":
-				// Applied after cand_id/cand_key are read.
-				for i := 0; i < n; i++ {
-					tr.Recs[base+i].Cand = make([]Candidate, binary.LittleEndian.Uint16(col[i*2:]))
-				}
+				candLen = col // applied after cand_id/cand_key are read
 			case "cand_id":
 				candID = make([]int32, n)
 				for i := range candID {
@@ -376,19 +400,24 @@ func Decode(data []byte) (*Trace, error) {
 			}
 		}
 		// Stitch the flat candidate arrays back onto the records.
-		off := 0
-		for i := base; i < len(tr.Recs); i++ {
-			want := len(tr.Recs[i].Cand)
-			if off+want > len(candID) || len(candID) != len(candKey) {
-				return nil, fmt.Errorf("dtrace: cand_len sum exceeds chunk cand count")
-			}
-			for j := 0; j < want; j++ {
-				tr.Recs[i].Cand[j] = Candidate{ID: candID[off+j], Key: candKey[off+j]}
-			}
-			off += want
+		sum := 0
+		for i := 0; i < len(candLen); i += 2 {
+			sum += int(binary.LittleEndian.Uint16(candLen[i:]))
 		}
-		if candID != nil && off != len(candID) {
-			return nil, fmt.Errorf("dtrace: chunk cand count %d does not match cand_len sum %d", len(candID), off)
+		if sum != len(candID) || len(candKey) != len(candID) {
+			return nil, fmt.Errorf("dtrace: cand_len sum %d does not match the chunk's %d cand ids and %d keys", sum, len(candID), len(candKey))
+		}
+		if candLen != nil {
+			cands := make([]Candidate, sum)
+			for j := range cands {
+				cands[j] = Candidate{ID: candID[j], Key: candKey[j]}
+			}
+			off := 0
+			for i := 0; i < ch.Records; i++ {
+				n := int(binary.LittleEndian.Uint16(candLen[i*2:]))
+				tr.Recs[base+i].Cand = cands[off : off+n : off+n]
+				off += n
+			}
 		}
 	}
 	return tr, nil

@@ -20,7 +20,6 @@ package dtrace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/sim"
@@ -441,14 +440,3 @@ func (r *Recorder) Summary() Summary {
 // Headroom returns the oracle headroom analysis over the recorded wake
 // decisions. Valid after Close.
 func (r *Recorder) Headroom() Headroom { return r.hr.result() }
-
-// sortCandidates orders a candidate slice by (key, id) — the canonical
-// order used by the headroom search's branch cut.
-func sortCandidates(cs []Candidate) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Key != cs[j].Key {
-			return cs[i].Key < cs[j].Key
-		}
-		return cs[i].ID < cs[j].ID
-	})
-}
