@@ -58,3 +58,25 @@ func TestZeroTimelineAllocFree(t *testing.T) {
 		t.Fatalf("zero-timeline run allocated %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestAppendPerfettoAllocBound: a render allocates the output buffer, the
+// name table, and one literal per distinct thread — never per event — so
+// its allocation count must not grow with the recorded window.
+func TestAppendPerfettoAllocBound(t *testing.T) {
+	var prev float64
+	for _, window := range []time.Duration{20 * time.Millisecond, 200 * time.Millisecond} {
+		m, r := benchMachine(true)
+		m.Run(m.Now() + window)
+		r.Close()
+		allocs := testing.AllocsPerRun(20, func() { r.AppendPerfetto(nil, nil) })
+		if limit := float64(len(r.st) + 4); allocs > limit {
+			t.Fatalf("window %v: %d events rendered with %.0f allocs, want <= %.0f (distinct tids + 4)",
+				window, len(r.ev.kind), allocs, limit)
+		}
+		if prev != 0 && allocs != prev {
+			t.Fatalf("window %v: %.0f allocs, %.0f at the shorter window; the count must not grow with events",
+				window, allocs, prev)
+		}
+		prev = allocs
+	}
+}

@@ -20,6 +20,7 @@ package timeline
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -36,111 +37,210 @@ type CounterTrack struct {
 // AppendPerfetto renders the timeline as trace-event JSON appended to buf.
 // counters are emitted only when the "counters" track group is selected;
 // pass nil when none apply. Valid after Close.
+//
+// The render is one pass with a presized buffer: timestamps go through
+// appendUS, and each thread's slice-name literal is escaped once and
+// reused, so allocations grow with the number of distinct threads, not
+// with the number of events.
 func (r *Recorder) AppendPerfetto(buf []byte, counters []CounterTrack) []byte {
-	b := buf
+	emitCounters := r.opts.track(TrackCounters)
+	names, size := r.perfettoPlan(counters, emitCounters)
+	b := slices.Grow(buf, size)
 	b = append(b, `{"displayTimeUnit":"ms","otherData":{"schema":"`+SchemaName+`"},"traceEvents":[`...)
-	first := true
-	sep := func() {
-		if !first {
-			b = append(b, ',', '\n')
-		} else {
-			b = append(b, '\n')
-		}
-		first = false
-	}
-
-	sep()
-	b = append(b, `{"ph":"M","pid":0,"name":"process_name","args":{"name":"schedbattle"}}`...)
-	nCores := len(r.m.Cores)
-	for c := 0; c < nCores; c++ {
-		sep()
-		b = append(b, `{"ph":"M","pid":0,"tid":`...)
-		b = strconv.AppendInt(b, int64(c), 10)
+	b = append(b, "\n"+`{"ph":"M","pid":0,"name":"process_name","args":{"name":"schedbattle"}}`...)
+	for c := int64(0); c < int64(len(r.m.Cores)); c++ {
+		b = append(b, ",\n"+`{"ph":"M","pid":0,"tid":`...)
+		b = strconv.AppendInt(b, c, 10)
 		b = append(b, `,"name":"thread_name","args":{"name":"cpu`...)
-		b = strconv.AppendInt(b, int64(c), 10)
+		b = strconv.AppendInt(b, c, 10)
 		b = append(b, `"}}`...)
-		sep()
-		b = append(b, `{"ph":"M","pid":0,"tid":`...)
-		b = strconv.AppendInt(b, int64(c), 10)
+		b = append(b, ",\n"+`{"ph":"M","pid":0,"tid":`...)
+		b = strconv.AppendInt(b, c, 10)
 		b = append(b, `,"name":"thread_sort_index","args":{"sort_index":`...)
-		b = strconv.AppendInt(b, int64(c), 10)
+		b = strconv.AppendInt(b, c, 10)
 		b = append(b, `}}`...)
 	}
 
-	us := func(ns int64) []byte {
-		return strconv.AppendFloat(nil, float64(ns)/1e3, 'g', -1, 64)
-	}
-	for i := range r.ev.kind {
-		sep()
-		tid := r.ev.tid[i]
-		name := ""
-		if tid >= 1 && int(tid) <= len(r.st) && r.st[tid-1].th != nil {
-			name = r.st[tid-1].th.Name
-		}
-		switch r.ev.kind[i] {
+	ev := &r.ev
+	for i, kind := range ev.kind {
+		tid := ev.tid[i]
+		switch kind {
 		case evSlice:
-			b = append(b, `{"ph":"X","pid":0,"tid":`...)
-			b = strconv.AppendInt(b, int64(r.ev.core[i]), 10)
+			b = append(b, ",\n"+`{"ph":"X","pid":0,"tid":`...)
+			b = strconv.AppendInt(b, int64(ev.core[i]), 10)
 			b = append(b, `,"ts":`...)
-			b = append(b, us(r.ev.t[i])...)
+			b = appendUS(b, ev.t[i])
 			b = append(b, `,"dur":`...)
-			b = append(b, us(r.ev.dur[i])...)
+			b = appendUS(b, ev.dur[i])
 			b = append(b, `,"name":`...)
-			b = appendJSONString(b, fmt.Sprintf("%s T%d", name, tid))
+			b = append(b, names[tid]...)
 			b = append(b, `,"args":{"tid":`...)
 			b = strconv.AppendInt(b, int64(tid), 10)
 			b = append(b, `,"wait_us":`...)
-			b = append(b, us(r.ev.wait[i])...)
-			b = append(b, `,"from_wake":`...)
-			b = strconv.AppendBool(b, r.ev.flag[i] != 0)
-			b = append(b, `}}`...)
-		case evWake, evMigrate, evSteal:
-			kind, otherKey := "wake", "origin"
-			switch r.ev.kind[i] {
-			case evMigrate:
-				kind, otherKey = "migrate", "from"
-			case evSteal:
-				kind, otherKey = "steal", "victim"
+			b = appendUS(b, ev.wait[i])
+			if ev.flag[i] != 0 {
+				b = append(b, `,"from_wake":true}}`...)
+			} else {
+				b = append(b, `,"from_wake":false}}`...)
 			}
-			b = append(b, `{"ph":"i","s":"t","pid":0,"tid":`...)
-			b = strconv.AppendInt(b, int64(r.ev.core[i]), 10)
+		case evWake, evMigrate, evSteal:
+			b = append(b, ",\n"+`{"ph":"i","s":"t","pid":0,"tid":`...)
+			b = strconv.AppendInt(b, int64(ev.core[i]), 10)
 			b = append(b, `,"ts":`...)
-			b = append(b, us(r.ev.t[i])...)
-			b = append(b, `,"name":"`...)
-			b = append(b, kind...)
-			b = append(b, `","args":{"tid":`...)
+			b = appendUS(b, ev.t[i])
+			lit := &instantLits[kind]
+			b = append(b, lit.name...)
 			b = strconv.AppendInt(b, int64(tid), 10)
-			b = append(b, `,"`...)
-			b = append(b, otherKey...)
-			b = append(b, `":`...)
-			b = strconv.AppendInt(b, int64(r.ev.other[i]), 10)
+			b = append(b, lit.other...)
+			b = strconv.AppendInt(b, int64(ev.other[i]), 10)
 			b = append(b, `}}`...)
 		}
 	}
 
-	if r.opts.track(TrackCounters) {
-		g := func(v float64) []byte { return strconv.AppendFloat(nil, v, 'g', -1, 64) }
+	if emitCounters {
 		for _, ct := range counters {
 			for _, p := range ct.Points {
-				sep()
-				b = append(b, `{"ph":"C","pid":0,"ts":`...)
-				b = append(b, g(p[0])...)
+				b = append(b, ",\n"+`{"ph":"C","pid":0,"ts":`...)
+				b = strconv.AppendFloat(b, p[0], 'g', -1, 64)
 				b = append(b, `,"name":`...)
 				b = appendJSONString(b, ct.Name)
 				b = append(b, `,"args":{"value":`...)
-				b = append(b, g(p[1])...)
+				b = strconv.AppendFloat(b, p[1], 'g', -1, 64)
 				b = append(b, `}}`...)
 			}
 		}
 	}
-	b = append(b, "\n]}\n"...)
-	return b
+	return append(b, "\n]}\n"...)
+}
+
+// instantLits holds each instant kind's name-and-args prefix and the key
+// of its second core (wake origin, migration source, steal victim).
+var instantLits = [...]struct{ name, other string }{
+	evWake:    {`,"name":"wake","args":{"tid":`, `,"origin":`},
+	evMigrate: {`,"name":"migrate","args":{"tid":`, `,"from":`},
+	evSteal:   {`,"name":"steal","args":{"tid":`, `,"victim":`},
+}
+
+// Render-size estimate, in bytes: the envelope, two metadata events per
+// core, and per event the literal text plus typical number widths (the
+// timestamp width is taken from the closing time). It only presizes the
+// output; the render appends past it if it falls short.
+const (
+	estEnvelopeBytes = 128
+	estCoreBytes     = 160
+	estSliceBytes    = 108 // excluding the name literal and ts
+	estInstantBytes  = 88  // excluding ts
+	estCounterBytes  = 64  // excluding the counter name
+)
+
+// perfettoPlan builds the slice-name literals — names[tid] is
+// sliceName(tid), built once for each tid that has a slice — and
+// estimates the render's size. Slice tids are recorded thread IDs, so
+// they index r.st.
+func (r *Recorder) perfettoPlan(counters []CounterTrack, emitCounters bool) (names [][]byte, size int) {
+	names = make([][]byte, len(r.st)+1)
+	tsBytes := len(strconv.AppendInt(make([]byte, 0, 20), r.closedNS, 10)) + 1
+	if r.closedNS >= 1e9 {
+		tsBytes += len("e+06")
+	}
+	size = estEnvelopeBytes + estCoreBytes*len(r.m.Cores)
+	for i, kind := range r.ev.kind {
+		if kind != evSlice {
+			size += estInstantBytes + tsBytes
+			continue
+		}
+		size += estSliceBytes + tsBytes
+		tid := r.ev.tid[i]
+		if names[tid] == nil {
+			names[tid] = r.sliceName(tid)
+		}
+		size += len(names[tid])
+	}
+	if emitCounters {
+		for _, ct := range counters {
+			size += len(ct.Points) * (estCounterBytes + len(ct.Name))
+		}
+	}
+	return names, size
+}
+
+// sliceName returns tid's slice-event name, the JSON string
+// "<thread name> T<tid>".
+func (r *Recorder) sliceName(tid int32) []byte {
+	name := r.st[tid-1].th.Name
+	b := make([]byte, 0, len(name)+16)
+	b = appendJSONString(b, name)
+	b = append(b[:len(b)-1], ' ', 'T')
+	b = strconv.AppendInt(b, int64(tid), 10)
+	return append(b, '"')
+}
+
+// appendUS appends ns/1e3 (nanoseconds as microseconds) exactly as
+// strconv.AppendFloat(b, float64(ns)/1e3, 'g', -1, 64) would. For
+// 0 < ns < 2^50 float64(ns) is exact, the division rounds correctly, and
+// half an ulp of the quotient stays below 0.001, so the shortest decimal
+// that round-trips is ns's own digits with the point three places from
+// the right and trailing zeros trimmed. Go's shortest 'g' switches to
+// e-notation once the decimal exponent reaches 6 (ns >= 1e9). Zero (the
+// wait before a resumed slice) renders as "0"; negative values and values
+// from 2^50 up take the strconv path.
+func appendUS(b []byte, ns int64) []byte {
+	if ns == 0 {
+		return append(b, '0')
+	}
+	if ns < 0 || ns >= 1<<50 {
+		return strconv.AppendFloat(b, float64(ns)/1e3, 'g', -1, 64)
+	}
+	var buf [16]byte // 2^50 has 16 digits
+	i := len(buf)
+	for v := ns; v > 0; v /= 10 {
+		i--
+		buf[i] = byte('0' + v%10)
+	}
+	// point: digits before the decimal point (may be <= 0).
+	point := len(buf) - i - 3
+	end := len(buf)
+	for buf[end-1] == '0' {
+		end--
+	}
+	digits := buf[i:end]
+	if exp := point - 1; exp >= 6 {
+		b = append(b, digits[0])
+		if len(digits) > 1 {
+			b = append(b, '.')
+			b = append(b, digits[1:]...)
+		}
+		b = append(b, 'e', '+')
+		if exp < 10 {
+			b = append(b, '0')
+		}
+		return strconv.AppendInt(b, int64(exp), 10)
+	}
+	switch {
+	case point <= 0:
+		b = append(b, '0', '.')
+		for ; point < 0; point++ {
+			b = append(b, '0')
+		}
+		return append(b, digits...)
+	case len(digits) <= point:
+		b = append(b, digits...)
+		for k := len(digits); k < point; k++ {
+			b = append(b, '0')
+		}
+		return b
+	default:
+		b = append(b, digits[:point]...)
+		b = append(b, '.')
+		return append(b, digits[point:]...)
+	}
 }
 
 // appendJSONString appends s as a JSON string literal. ASCII control
 // characters, quotes, and backslashes are escaped; everything else passes
 // through byte-for-byte (names are UTF-8 already).
 func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
 	b = append(b, '"')
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -148,7 +248,7 @@ func appendJSONString(b []byte, s string) []byte {
 		case c == '"' || c == '\\':
 			b = append(b, '\\', c)
 		case c < 0x20:
-			b = append(b, fmt.Sprintf(`\u%04x`, c)...)
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
 		default:
 			b = append(b, c)
 		}

@@ -3,6 +3,9 @@ package timeline
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,7 +16,7 @@ import (
 
 // record runs a tiny deterministic fixture and returns the recorder plus
 // its exported trace bytes.
-func record(t *testing.T, counters []CounterTrack) (*Recorder, []byte) {
+func record(t testing.TB, counters []CounterTrack) (*Recorder, []byte) {
 	t.Helper()
 	m := sim.NewMachine(topo.SingleCore(), sim.NewFIFO(), sim.Options{Seed: 11})
 	r, err := Attach(m, Options{})
@@ -190,4 +193,94 @@ func TestAppendJSONStringEscapes(t *testing.T) {
 	if err := json.Unmarshal([]byte(got), &s); err != nil || s != "a\"b\\c\nd" {
 		t.Fatalf("round-trip failed: %q, %v", s, err)
 	}
+}
+
+// usWant is appendUS's reference: ns/1e3 in Go's shortest 'g' form.
+func usWant(ns int64) string {
+	return strconv.FormatFloat(float64(ns)/1e3, 'g', -1, 64)
+}
+
+// TestAppendUSMatchesStrconv checks the integer fast path against strconv
+// densely below 3 ms, around every power of ten, at the 1 s e-notation
+// switch, at the 2^50 fallback edge, and at the int64 extremes.
+func TestAppendUSMatchesStrconv(t *testing.T) {
+	var buf []byte
+	check := func(ns int64) {
+		buf = appendUS(buf[:0], ns)
+		if want := usWant(ns); string(buf) != want {
+			t.Fatalf("appendUS(%d) = %q, want %q", ns, buf, want)
+		}
+	}
+	for ns := int64(-5); ns < 3e6; ns++ {
+		check(ns)
+	}
+	for p := int64(1); p <= 1e18; p *= 10 {
+		for d := int64(-3); d <= 3; d++ {
+			check(p + d)
+		}
+	}
+	for _, ns := range []int64{
+		999_999_999, 1e9, 1e9 + 1, 1_234_567_000, 9_999_999_999, 10e9, 123_456_789_012,
+		1<<50 - 2, 1<<50 - 1, 1 << 50, 1<<50 + 1, 1<<53 + 1,
+		math.MaxInt64, math.MaxInt64 - 1, math.MinInt64, -1e9,
+	} {
+		check(ns)
+	}
+	if got := string(appendUS([]byte("x="), 1500)); got != "x=1.5" {
+		t.Fatalf("appendUS must append after existing bytes, got %q", got)
+	}
+}
+
+func FuzzAppendUS(f *testing.F) {
+	for _, ns := range []int64{0, 1, 999, 1000, 1500, 1e9, 1<<50 - 1, 1 << 50, -7, math.MaxInt64} {
+		f.Add(ns)
+	}
+	f.Fuzz(func(t *testing.T, ns int64) {
+		if got, want := string(appendUS(nil, ns)), usWant(ns); got != want {
+			t.Fatalf("appendUS(%d) = %q, want %q", ns, got, want)
+		}
+	})
+}
+
+// FuzzDecodeTrace: DecodeTrace never panics, every document it accepts
+// satisfies the validator's per-phase invariants, and Timehist renders any
+// accepted document without panicking.
+func FuzzDecodeTrace(f *testing.F) {
+	_, data := record(f, []CounterTrack{{Name: "runq.core0", Points: [][2]float64{{0, 0}, {1000, 2}}}})
+	f.Add(data)
+	f.Add([]byte(`{"traceEvents":[]}`))
+	f.Add([]byte(`{"traceEvents":[{"ph":"X","name":"a T1","tid":0,"ts":1,"dur":2,"args":{"wait_us":3,"from_wake":true}}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := DecodeTrace(data)
+		if err != nil {
+			if tr != nil {
+				t.Fatal("DecodeTrace returned a trace with an error")
+			}
+			return
+		}
+		if tr.Events == nil {
+			t.Fatal("accepted a document without traceEvents")
+		}
+		for i, e := range tr.Events {
+			switch e.Ph {
+			case "M":
+				if e.Name == "" {
+					t.Fatalf("event %d: accepted nameless metadata", i)
+				}
+			case "X":
+				if e.Name == "" || e.TsUS < 0 || e.DurUS < 0 {
+					t.Fatalf("event %d: accepted bad slice %+v", i, e)
+				}
+			case "i", "C":
+				if e.TsUS < 0 {
+					t.Fatalf("event %d: accepted negative ts %+v", i, e)
+				}
+			default:
+				t.Fatalf("event %d: accepted unknown phase %q", i, e.Ph)
+			}
+		}
+		if err := tr.Timehist(io.Discard, 10, 5); err != nil {
+			t.Fatalf("Timehist: %v", err)
+		}
+	})
 }
