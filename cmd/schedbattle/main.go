@@ -71,7 +71,6 @@ func main() {
 		perfEngine = flag.String("perf-engine", "wheel", "with -perf: event queue to time, \"wheel\" or \"heap\" (A/B the engines on one machine)")
 		cpuProf    = flag.String("cpuprofile", "", "with -perf: write a pprof CPU profile of the timed runs here")
 		memProf    = flag.String("memprofile", "", "with -perf: write a pprof heap profile taken after the timed runs here")
-		cacheDir   = flag.String("cache", "", "persist the trial-result cache in this directory: re-runs of identical trials load stored results instead of simulating")
 		noCache    = flag.Bool("no-cache", false, "disable trial-result memoization (in-grid dedup of identical cells stays)")
 		cacheStats = flag.Bool("cache-stats", false, "print trial-cache hit/miss statistics to stderr when the run finishes")
 	)
@@ -128,11 +127,12 @@ func main() {
 	core.SetBaseSeed(*seed)
 	core.SetTrialTimeout(*trialTmo)
 
-	// Trial-result memoization is on by default (in-memory; -cache adds the
-	// persistent layer). One process-wide cache is shared by every scenario,
-	// battle replication, and -check re-run, so repeated cells simulate once.
-	// Cached and fresh results are byte-identical by construction — tests
-	// pin it — so this cannot change any output, only how fast it appears.
+	// Trial-result memoization is on by default and lives only in this
+	// process. One cache is shared by every scenario, battle replication,
+	// and -check re-run, so repeated cells simulate once. A hit returns the
+	// very report the first run produced — tests pin cached and fresh runs
+	// byte-identical — so this cannot change any output, only how fast it
+	// appears.
 	reportCacheStats := func() {
 		if !*cacheStats {
 			return
@@ -144,16 +144,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "schedbattle: grid dedup: %d duplicate cells served without simulating\n", d)
 		}
 	}
-	if *noCache {
-		if *cacheDir != "" {
-			fmt.Fprintln(os.Stderr, "schedbattle: -cache and -no-cache are mutually exclusive")
-			os.Exit(2)
-		}
-	} else {
-		c, err := memo.New(*cacheDir)
+	if !*noCache {
+		c, err := memo.New("")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "schedbattle: opening cache %s: %v\n", *cacheDir, err)
-			os.Exit(2)
+			panic(err) // an in-memory cache cannot fail to open
 		}
 		core.SetTrialCache(c)
 	}

@@ -201,10 +201,10 @@ func timeScenarios(iters int) []perfResult {
 // timeMemoScenario prices the trial-result cache: one battle replication
 // study (web-tail, 5 seeds per scheduler) run cold into a fresh in-memory
 // cache, then re-run warm so every trial is a cache hit. The warm row's
-// EventsPerSec is deliberately 0 — wall time there measures deserialization,
-// not the engine, so the -perf-check gate skips it (its committed baseline
-// never has a positive events/sec) while the trajectory still records the
-// cold/warm wall ratio.
+// EventsPerSec is deliberately 0 — wall time there measures map lookups
+// and battle verdicts, not the engine, so the -perf-check gate skips it
+// (its committed baseline never has a positive events/sec) while the
+// trajectory still records the cold/warm wall ratio.
 func timeMemoScenario() []perfResult {
 	prev := core.TrialCache()
 	cache, err := memo.New("")

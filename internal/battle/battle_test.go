@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/memo"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 )
@@ -140,6 +142,60 @@ func TestBattleDeterminismAcrossJobs(t *testing.T) {
 	}
 	if m1, m8 := j1.Markdown(), j8.Markdown(); m1 != m8 {
 		t.Fatalf("battle markdown differs between -jobs 1 and -jobs 8:\n%s\n---\n%s", m1, m8)
+	}
+}
+
+// TestBattleCachedVsFresh is the battle-level memoization gate: a warm
+// battle served from the trial cache must match an uncached battle to the
+// byte, JSON and markdown. Warm trials alias the reports the cold pass
+// stored, so a verdict computation that mutated a shared TrialReport would
+// surface here as a difference from the fresh run.
+func TestBattleCachedVsFresh(t *testing.T) {
+	specs, err := scenario.Builtin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Replications: 3, Scale: 0.02}
+	for _, sp := range specs {
+		sp := sp
+		t.Run(sp.Name, func(t *testing.T) {
+			run := func() *Report {
+				rep, err := Run(sp, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			c, err := memo.New("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			core.SetTrialCache(c)
+			defer core.SetTrialCache(nil)
+			run()
+			cold := c.Stats()
+			warm := run()
+			if st := c.Stats(); st.Hits == cold.Hits || st.Misses != cold.Misses {
+				t.Fatalf("warm battle was not all hits: %+v after cold %+v", st, cold)
+			}
+			core.SetTrialCache(nil)
+			fresh := run()
+
+			bw, err := scenario.MarshalReport(warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bf, err := scenario.MarshalReport(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bw, bf) {
+				t.Fatalf("cached battle JSON differs from fresh:\n%s\n---\n%s", bw, bf)
+			}
+			if mw, mf := warm.Markdown(), fresh.Markdown(); mw != mf {
+				t.Fatalf("cached battle markdown differs from fresh:\n%s\n---\n%s", mw, mf)
+			}
+		})
 	}
 }
 

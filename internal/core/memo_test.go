@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -25,12 +24,6 @@ func memoTrial(name string, key memo.Key, seed int64, execs *atomic.Int64) Trial
 			return int64(m.Now())
 		},
 		CacheKey: key,
-		Encode:   func(v int64) ([]byte, error) { return json.Marshal(v) },
-		Decode: func(b []byte) (int64, error) {
-			var v int64
-			err := json.Unmarshal(b, &v)
-			return v, err
-		},
 	}
 }
 
@@ -87,11 +80,6 @@ func TestGridDedupFansOutFailures(t *testing.T) {
 			Window:   time.Millisecond,
 			Extract:  func(m *sim.Machine) int64 { panic("boom") },
 			CacheKey: key,
-			Encode:   func(v int64) ([]byte, error) { return json.Marshal(v) },
-			Decode: func(b []byte) (int64, error) {
-				var v int64
-				return v, json.Unmarshal(b, &v)
-			},
 		}
 	}
 	_, errs := RunTrialsErr([]Trial[int64]{mk("boom"), mk("boom")})

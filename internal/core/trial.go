@@ -47,14 +47,9 @@ type Trial[T any] struct {
 	// the emitting layer over everything the outcome depends on EXCEPT the
 	// resolved seed (RunTrials folds that in after seed resolution — see
 	// trialSeed's occurrence rules). The zero key marks the trial
-	// uncacheable and exempt from grid dedup.
+	// uncacheable and exempt from grid dedup. A cached outcome is shared
+	// by reference with every later hit, so consumers treat T as read-only.
 	CacheKey memo.Key
-	// Encode/Decode serialize the outcome for the installed trial cache.
-	// Both must be set for the cache to engage; the encoding must
-	// round-trip T so that a cached result is indistinguishable from a
-	// fresh one (byte-identical downstream reports).
-	Encode func(T) ([]byte, error)
-	Decode func([]byte) (T, error)
 }
 
 // Execute runs the trial body on the calling goroutine. The Machine seed
@@ -122,7 +117,7 @@ var trialCache atomic.Pointer[memo.Cache]
 
 // SetTrialCache installs (or, with nil, removes) the process-wide
 // content-addressed trial-result cache consulted by RunTrials before
-// executing any cacheable trial (the CLI's -cache/-no-cache flags).
+// executing any cacheable trial (the CLI installs one unless -no-cache).
 func SetTrialCache(c *memo.Cache) { trialCache.Store(c) }
 
 // TrialCache returns the installed cache, or nil when memoization is off.
@@ -137,32 +132,23 @@ var dedupedTrials atomic.Uint64
 func DedupedTrials() uint64 { return dedupedTrials.Load() }
 
 // executeCached runs one seed-resolved trial through the installed cache:
-// hit decodes the stored bytes, miss simulates and stores the encoded
-// result together with its simulate wall time (the basis of the cache's
-// wall-saved accounting). With no cache installed, a zero key, or no
-// codec, it is exactly Execute. key must already include the resolved
-// seed (memo.Derive).
+// a hit returns the stored outcome itself (aliased, read-only — the same
+// contract dedup fan-out relies on), a miss simulates and stores the
+// outcome together with its simulate wall time (the basis of the cache's
+// wall-saved accounting). With no cache installed or a zero key it is
+// exactly Execute. key must already include the resolved seed
+// (memo.Derive).
 func executeCached[T any](t Trial[T], key memo.Key) T {
 	c := trialCache.Load()
-	if c == nil || key.IsZero() || t.Encode == nil || t.Decode == nil {
+	if c == nil || key.IsZero() {
 		return t.Execute()
 	}
-	if data, _, ok := c.Get(key); ok {
-		out, err := t.Decode(data)
-		if err == nil {
-			return out
-		}
-		// The payload passed the cache's integrity checks but failed the
-		// codec — a format drift the schema salt should have caught. Count
-		// it and fall through to a fresh simulation.
-		c.NoteCorrupt()
+	if v, ok := c.Get(key); ok {
+		return v.(T)
 	}
 	start := time.Now()
 	out := t.Execute()
-	cost := time.Since(start)
-	if data, err := t.Encode(out); err == nil {
-		c.Put(key, data, cost)
-	}
+	c.Put(key, out, time.Since(start))
 	return out
 }
 

@@ -2,24 +2,19 @@
 // simulations make a trial's outcome a pure function of its inputs, so a
 // stable fingerprint over those inputs (compiled scenario cell, resolved
 // scheduler parameters, seed, engine selection, telemetry config) addresses
-// the serialized result forever. The cache has two layers — an in-process
-// concurrent store and an optional on-disk directory (one file per
-// fingerprint, written atomically) — and every lookup path treats anything
-// suspicious (missing, truncated, corrupt, wrong magic) as a miss, so a
-// damaged cache can cost time but never correctness.
+// the result. The cache is an in-process concurrent map from fingerprint to
+// the result value itself; it lives only as long as the process, so a hit
+// is always a result the running binary computed (see DESIGN §13).
 //
 // Keys are produced with a Hasher whose writes are tagged and
 // length-framed: two field sequences that differ anywhere — even by where
 // one string ends and the next begins — produce different keys. Callers
-// seed the Hasher with a schema-version salt; bumping the salt retires
-// every previously cached byte at once, which is how result-format changes
-// are made safe (see DESIGN §13 for the invalidation rules).
+// seed the Hasher with a salt that separates unrelated key spaces.
 package memo
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"hash"
 	"math"
 )
@@ -30,9 +25,6 @@ type Key [sha256.Size]byte
 
 // IsZero reports whether k is the zero (uncacheable) key.
 func (k Key) IsZero() bool { return k == Key{} }
-
-// String renders the key as lowercase hex — also the on-disk file name.
-func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // Field tags, one per Hasher write kind. Tagging prevents cross-kind
 // collisions (the string "1" and the int 1 hash differently).
@@ -52,7 +44,7 @@ type Hasher struct {
 	buf [10]byte
 }
 
-// NewHasher starts a fingerprint salted with a schema-version string. The
+// NewHasher starts a fingerprint salted with a key-space name. The
 // salt participates in the hash like any other field, so changing it
 // changes every key derived from it.
 func NewHasher(salt string) *Hasher {

@@ -58,8 +58,6 @@ func (s *Spec) Compile(cliScale float64) ([]core.Trial[TrialReport], error) {
 					if cacheable {
 						if key, ok := cellFingerprint(prefix, cores, rs, sc*cliScale, seed); ok {
 							t.CacheKey = key
-							t.Encode = encodeTrialReport
-							t.Decode = decodeTrialReport
 						}
 					}
 					trials = append(trials, t)

@@ -47,9 +47,6 @@ func firstKey(t *testing.T, s *Spec, scale float64) memo.Key {
 	if trials[0].CacheKey.IsZero() {
 		t.Fatal("compiled trial has no cache key")
 	}
-	if trials[0].Encode == nil || trials[0].Decode == nil {
-		t.Fatal("compiled trial has no cache codec")
-	}
 	return trials[0].CacheKey
 }
 
@@ -120,9 +117,11 @@ func TestFingerprintSensitivity(t *testing.T) {
 }
 
 // TestCachedVsFreshByteIdentity is the memoization correctness gate: for
-// every bundled scenario, a warm (all-hits) re-run must reproduce the cold
-// run to the byte — the marshalled report AND the out-of-band trace and
-// timeline streams the report JSON excludes.
+// every bundled scenario, a warm (all-hits) re-run must reproduce an
+// uncached run to the byte — the marshalled report AND the out-of-band
+// trace and timeline streams the report JSON excludes. Hits alias the
+// stored reports, so comparing against the cold cached run would compare
+// each report with itself; the reference is a run with no cache installed.
 func TestCachedVsFreshByteIdentity(t *testing.T) {
 	specs, err := Builtin()
 	if err != nil {
@@ -139,8 +138,7 @@ func TestCachedVsFreshByteIdentity(t *testing.T) {
 			core.SetTrialCache(c)
 			defer core.SetTrialCache(nil)
 
-			cold, err := sp.Run(scale)
-			if err != nil {
+			if _, err := sp.Run(scale); err != nil {
 				t.Fatal(err)
 			}
 			st := c.Stats()
@@ -151,11 +149,17 @@ func TestCachedVsFreshByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := c.Stats(); got.Hits == st.Hits {
-				t.Fatal("warm run hit nothing")
+			if got := c.Stats(); got.Hits == st.Hits || got.Misses != st.Misses {
+				t.Fatalf("warm run was not all hits: %+v after cold %+v", got, st)
 			}
 
-			coldJSON, err := MarshalReport(cold)
+			core.SetTrialCache(nil)
+			fresh, err := sp.Run(scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			freshJSON, err := MarshalReport(fresh)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,63 +167,22 @@ func TestCachedVsFreshByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(coldJSON, warmJSON) {
-				t.Fatalf("cached report differs from fresh:\ncold: %s\nwarm: %s",
-					firstDiff(coldJSON, warmJSON), firstDiff(warmJSON, coldJSON))
+			if !bytes.Equal(freshJSON, warmJSON) {
+				t.Fatalf("cached report differs from fresh:\nfresh: %s\nwarm:  %s",
+					firstDiff(freshJSON, warmJSON), firstDiff(warmJSON, freshJSON))
 			}
-			if len(cold.Trials) != len(warm.Trials) {
-				t.Fatalf("trial counts differ: %d vs %d", len(cold.Trials), len(warm.Trials))
+			if len(fresh.Trials) != len(warm.Trials) {
+				t.Fatalf("trial counts differ: %d vs %d", len(fresh.Trials), len(warm.Trials))
 			}
-			for i := range cold.Trials {
-				if !bytes.Equal(cold.Trials[i].TraceData, warm.Trials[i].TraceData) {
-					t.Fatalf("trial %s: cached trace stream differs from fresh", cold.Trials[i].Name)
+			for i := range fresh.Trials {
+				if !bytes.Equal(fresh.Trials[i].TraceData, warm.Trials[i].TraceData) {
+					t.Fatalf("trial %s: cached trace stream differs from fresh", fresh.Trials[i].Name)
 				}
-				if !bytes.Equal(cold.Trials[i].TimelineData, warm.Trials[i].TimelineData) {
-					t.Fatalf("trial %s: cached timeline stream differs from fresh", cold.Trials[i].Name)
+				if !bytes.Equal(fresh.Trials[i].TimelineData, warm.Trials[i].TimelineData) {
+					t.Fatalf("trial %s: cached timeline stream differs from fresh", fresh.Trials[i].Name)
 				}
 			}
 		})
-	}
-}
-
-// TestEnvelopeRoundTripsOutOfBandData pins the codec on a report carrying
-// every out-of-band stream.
-func TestEnvelopeRoundTripsOutOfBandData(t *testing.T) {
-	in := TrialReport{
-		Name:         "env/c1/ule/x1/s1",
-		Cores:        1,
-		Scheduler:    "ule",
-		Seed:         1,
-		Scale:        0.30000000000000004, // an awkward float must survive
-		Derived:      map[string]float64{"x": 1e-17, "y": 3.14},
-		Counters:     map[string]uint64{"switches": 1<<53 + 1},
-		TraceData:    []byte{0x00, 0x01, 0xfe, 0xff},
-		TimelineData: []byte(`{"traceEvents":[]}`),
-	}
-	enc, err := encodeTrialReport(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := decodeTrialReport(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.TraceData, in.TraceData) || !bytes.Equal(out.TimelineData, in.TimelineData) {
-		t.Fatal("out-of-band data did not round-trip")
-	}
-	a, err := MarshalReport(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MarshalReport(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("decoded report marshals differently:\n%s\nvs\n%s", a, b)
-	}
-	if out.Counters["switches"] != in.Counters["switches"] {
-		t.Fatalf("uint64 counter lost precision: %d vs %d", out.Counters["switches"], in.Counters["switches"])
 	}
 }
 
